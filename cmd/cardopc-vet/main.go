@@ -1,7 +1,7 @@
 // Command cardopc-vet runs CardOPC's project-specific static-analysis
 // suite (internal/analysis) over the module — syntactic passes
-// (floatcmp, nanguard, loopcapture, mutexcopy, errcheck-lite, bufalias,
-// unitcheck, detorder, goleak), the CFG-based dataflow passes
+// (floatcmp, nanguard, loopcapture, errcheck-lite, bufalias, unitcheck,
+// detorder, goleak), the CFG-based dataflow passes
 // (poolcheck, noalloc, obsguard), and the interprocedural passes built
 // on the module call graph and per-function summaries (ctxflow,
 // lockcheck, nonblock; poolcheck also consults the summaries to follow

@@ -83,7 +83,6 @@ func All() []*Analyzer {
 		FloatCmp,
 		NaNGuard,
 		LoopCapture,
-		MutexCopy,
 		ErrCheckLite,
 		BufAlias,
 		UnitCheck,

@@ -20,7 +20,6 @@ var fixtureCases = []struct {
 	{FloatCmp, "floatcmp"},
 	{NaNGuard, "nanguard"},
 	{LoopCapture, "loopcapture"},
-	{MutexCopy, "mutexcopy"},
 	{ErrCheckLite, "errchecklite"},
 	{BufAlias, "bufalias"},
 	{UnitCheck, "unitcheck"},

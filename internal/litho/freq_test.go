@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"cardopc/internal/fft"
+	"cardopc/internal/geom"
+	"cardopc/internal/raster"
 )
 
 func TestFreqOfFFTFreqLayout(t *testing.T) {
@@ -75,5 +77,21 @@ func TestMirroredSourceKernelsMirror(t *testing.T) {
 				t.Fatalf("mirror mismatch at (%d,%d): %v vs %v", x, y, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkMaskFreqReal measures the real-input mask transform — the
+// front of every imaging call, retargeted from the full complex FFT at
+// the half-spectrum path. Part of the tracked set gated by cmd/benchdiff.
+func BenchmarkMaskFreqReal(b *testing.B) {
+	cfg := DefaultConfig()
+	g := raster.Grid{Size: cfg.GridSize, Pitch: cfg.PitchNM}
+	mask := maskWithRect(g, geom.Rect{Min: geom.P(874, 874), Max: geom.P(1474, 1474)})
+	mf := fft.GetGrid(mask.Size, mask.Size)
+	defer fft.PutGrid(mf)
+	MaskFreqInto(mf, mask)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MaskFreqInto(mf, mask)
 	}
 }

@@ -50,18 +50,10 @@ func (c *ForwardCache) Release() {
 	}
 }
 
-// AerialWithCache computes the aerial image like Aerial but retains the
-// coherent amplitudes for a subsequent GradientFromCache call. The dose
-// scaling is applied to the intensity exactly as in Aerial.
-func (s *Simulator) AerialWithCache(mask *raster.Field) (*raster.Field, *ForwardCache) {
-	cache := s.NewForwardCache()
-	out := s.AerialWithCacheInto(raster.NewField(s.grid), cache, mask)
-	return out, cache // pool-returning: the caller must cache.Release when done
-}
-
-// AerialWithCacheInto is AerialWithCache writing the aerial image into
-// out (fully overwritten) and the coherent amplitudes into cache,
-// reusing the cache's grids when it has been filled before — the
+// AerialWithCacheInto computes the aerial image of mask like AerialInto,
+// writing it into out (fully overwritten), and retains the coherent
+// amplitudes in cache for a subsequent GradientFromCacheInto call. The
+// cache's grids are reused when it has been filled before — the
 // steady-state path of the ILT descent loop.
 //
 //cardopc:noalloc
@@ -114,11 +106,7 @@ func (s *Simulator) AerialWithCacheInto(out *raster.Field, cache *ForwardCache, 
 		ws.Release()
 	}
 
-	if s.cfg.Dose != 1 {
-		for i := range out.Data {
-			out.Data[i] *= s.cfg.Dose
-		}
-	}
+	scaleInto(out.Data, out.Data, s.cfg.Dose)
 	return out
 }
 

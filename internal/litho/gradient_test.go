@@ -15,7 +15,9 @@ func TestAerialWithCacheMatchesAerial(t *testing.T) {
 	s := NewSimulator(cfg)
 	mask := maskWithRect(s.Grid(), geom.Rect{Min: geom.P(900, 900), Max: geom.P(1150, 1150)})
 	a := s.Aerial(mask)
-	b, cache := s.AerialWithCache(mask)
+	cache := s.NewForwardCache()
+	defer cache.Release()
+	b := s.AerialWithCacheInto(raster.NewField(s.Grid()), cache, mask)
 	for i := range a.Data {
 		if math.Abs(a.Data[i]-b.Data[i]) > 1e-12 {
 			t.Fatalf("aerial mismatch at %d", i)
@@ -59,7 +61,9 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 		return l
 	}
 
-	_, cache := s.AerialWithCache(mask)
+	cache := s.NewForwardCache()
+	defer cache.Release()
+	s.AerialWithCacheInto(raster.NewField(g), cache, mask)
 	grad := s.GradientFromCache(cache, G)
 
 	h := 1e-4
@@ -97,8 +101,11 @@ func TestGradientIncludesDose(t *testing.T) {
 	for i := range G {
 		G[i] = 1
 	}
-	_, c1 := s1.AerialWithCache(mask)
-	_, c2 := s2.AerialWithCache(mask)
+	c1, c2 := s1.NewForwardCache(), s2.NewForwardCache()
+	defer c1.Release()
+	defer c2.Release()
+	s1.AerialWithCacheInto(raster.NewField(s1.Grid()), c1, mask)
+	s2.AerialWithCacheInto(raster.NewField(s2.Grid()), c2, mask)
 	g1 := s1.GradientFromCache(c1, G)
 	g2 := s2.GradientFromCache(c2, G)
 	idx := 30*64 + 30

@@ -82,7 +82,7 @@ func newSimulatorSharing(cfg Config, donor *Simulator) *Simulator {
 	}
 }
 
-// PrintedAll images mask once per corner (sharing the mask spectrum) and
+// PrintedAll images mask through every corner (see AerialAll) and
 // returns the nominal, inner and outer binarised prints.
 func (p *Process) PrintedAll(mask *raster.Field) (nom, inner, outer *raster.Binary) {
 	nomA, innerA, outerA := p.AerialAll(mask)
@@ -101,42 +101,36 @@ func (p *Process) AerialAll(mask *raster.Field) (nom, inner, outer *raster.Field
 	return nom, inner, outer
 }
 
-// AerialAllFromFreq is AerialAll over a precomputed mask spectrum.
-// Corners that share a kernel set (dose-only excursions) are imaged by
-// one batched kernel sweep — the spectrum pointer repeats across the
-// batch, so the shared corners ride the convolutions the first member
-// already paid for. Distinct kernel sets (a defocused inner corner) run
-// concurrently. Each corner's result is bit-identical to its sequential
-// AerialFromFreq call.
+// AerialAllFromFreq is AerialAll over a precomputed mask spectrum. Dose
+// scales intensity after the SOCS sum (Eq. 1), so the nominal undosed
+// sweep runs once and every corner sharing its kernel set is that sum
+// times the corner's own dose; a corner with its own kernels (the
+// defocused inner corner) sweeps concurrently. Each corner's result is
+// bit-identical to its own AerialFromFreqInto call.
 func (p *Process) AerialAllFromFreq(mf *fft.Grid2) (nom, inner, outer *raster.Field) {
 	sims := [3]*Simulator{p.Nominal, p.Inner, p.Outer}
 	var outs [3]*raster.Field
 	for i, s := range sims {
 		outs[i] = raster.NewField(s.grid)
 	}
-	groups := kernelGroups(sims[:])
-	run := func(g []int) {
-		if len(g) == 1 {
-			sims[g[0]].AerialFromFreqInto(outs[g[0]], mf)
-			return
-		}
-		mfs := make([]*fft.Grid2, len(g))
-		gouts := make([]*raster.Field, len(g))
-		doses := make([]float64, len(g))
-		for i, ci := range g {
-			mfs[i], gouts[i], doses[i] = mf, outs[ci], sims[ci].cfg.Dose
-		}
-		sims[g[0]].batchAerialInto(gouts, mfs, doses)
-	}
 	var wg sync.WaitGroup
-	for _, g := range groups[1:] {
-		wg.Add(1)
-		go func(g []int) {
-			defer wg.Done()
-			run(g)
-		}(g)
+	for i, s := range sims[1:] {
+		if !sharesKernels(s, p.Nominal) {
+			wg.Add(1)
+			go func(s *Simulator, out *raster.Field) {
+				defer wg.Done()
+				s.AerialFromFreqInto(out, mf)
+			}(s, outs[i+1])
+		}
 	}
-	run(groups[0])
+	sum := outs[0]
+	p.Nominal.sweepInto(sum, mf)
+	for i, s := range sims[1:] {
+		if sharesKernels(s, p.Nominal) {
+			scaleInto(outs[i+1].Data, sum.Data, s.cfg.Dose)
+		}
+	}
+	scaleInto(sum.Data, sum.Data, p.Nominal.cfg.Dose)
 	wg.Wait()
 	return outs[0], outs[1], outs[2]
 }
@@ -146,98 +140,4 @@ func (p *Process) AerialAllFromFreq(mf *fft.Grid2) (nom, inner, outer *raster.Fi
 // newSimulatorSharing), so comparing the first kernel pointer suffices.
 func sharesKernels(a, b *Simulator) bool {
 	return len(a.kernels) > 0 && len(a.kernels) == len(b.kernels) && a.kernels[0] == b.kernels[0]
-}
-
-// kernelGroups partitions simulator indices into groups sharing one
-// kernel set, preserving index order within and across groups.
-func kernelGroups(sims []*Simulator) [][]int {
-	var groups [][]int
-	assigned := make([]bool, len(sims))
-	for i := range sims {
-		if assigned[i] {
-			continue
-		}
-		g := []int{i}
-		assigned[i] = true
-		for j := i + 1; j < len(sims); j++ {
-			if !assigned[j] && sharesKernels(sims[i], sims[j]) {
-				g = append(g, j)
-				assigned[j] = true
-			}
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// BatchAerialAll images a batch of masks through all three corners with
-// the kernel sweeps shared across the whole batch: per kernel group, one
-// sweep covers every (mask, corner) pair, walking each kernel grid once
-// per batch instead of once per mask. Results are bit-identical to
-// calling AerialAll per mask. This is the server-side coalescing hook
-// for queued same-config clip jobs.
-func (p *Process) BatchAerialAll(masks []*raster.Field) (noms, inners, outers []*raster.Field) {
-	if len(masks) == 0 {
-		return nil, nil, nil
-	}
-	mfs := make([]*fft.Grid2, len(masks))
-	for i, mask := range masks {
-		mf := fft.GetGrid(mask.Size, mask.Size)
-		MaskFreqInto(mf, mask)
-		mfs[i] = mf
-	}
-	sims := [3]*Simulator{p.Nominal, p.Inner, p.Outer}
-	outs := [3][]*raster.Field{}
-	for c, s := range sims {
-		outs[c] = make([]*raster.Field, len(masks))
-		for i := range masks {
-			outs[c][i] = raster.NewField(s.grid)
-		}
-	}
-	groups := kernelGroups(sims[:])
-	run := func(g []int) {
-		// Mask-major member order keeps equal spectrum pointers adjacent,
-		// so each mask pays one convolution per kernel no matter how many
-		// corners of the group image it.
-		bmfs := make([]*fft.Grid2, 0, len(g)*len(masks))
-		bouts := make([]*raster.Field, 0, len(g)*len(masks))
-		doses := make([]float64, 0, len(g)*len(masks))
-		for i := range masks {
-			for _, ci := range g {
-				bmfs = append(bmfs, mfs[i])
-				bouts = append(bouts, outs[ci][i])
-				doses = append(doses, sims[ci].cfg.Dose)
-			}
-		}
-		sims[g[0]].batchAerialInto(bouts, bmfs, doses)
-	}
-	var wg sync.WaitGroup
-	for _, g := range groups[1:] {
-		wg.Add(1)
-		go func(g []int) {
-			defer wg.Done()
-			run(g)
-		}(g)
-	}
-	run(groups[0])
-	wg.Wait()
-	for _, mf := range mfs {
-		fft.PutGrid(mf)
-	}
-	return outs[0], outs[1], outs[2]
-}
-
-// BatchPrintedAll is BatchAerialAll binarised at each corner's resist
-// threshold.
-func (p *Process) BatchPrintedAll(masks []*raster.Field) (noms, inners, outers []*raster.Binary) {
-	nomA, innerA, outerA := p.BatchAerialAll(masks)
-	noms = make([]*raster.Binary, len(masks))
-	inners = make([]*raster.Binary, len(masks))
-	outers = make([]*raster.Binary, len(masks))
-	for i := range masks {
-		noms[i] = nomA[i].Threshold(p.Nominal.cfg.Threshold)
-		inners[i] = innerA[i].Threshold(p.Inner.cfg.Threshold)
-		outers[i] = outerA[i].Threshold(p.Outer.cfg.Threshold)
-	}
-	return noms, inners, outers
 }

@@ -1,10 +1,13 @@
 package litho
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"cardopc/internal/fft"
 	"cardopc/internal/geom"
+	"cardopc/internal/raster"
 )
 
 func TestSharedCornerKernels(t *testing.T) {
@@ -31,21 +34,43 @@ func TestSharedCornerKernels(t *testing.T) {
 }
 
 func TestAerialAllMatchesSequential(t *testing.T) {
-	// The concurrent three-corner evaluation must be bit-identical to
-	// imaging each corner on its own.
-	p := NewProcess(testConfig(), DefaultCorners())
-	mask := maskWithRect(p.Nominal.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
-	nom, inner, outer := p.AerialAll(mask)
-	mf := MaskFreq(mask)
-	for name, pair := range map[string][2][]float64{
-		"nominal": {nom.Data, p.Nominal.AerialFromFreq(mf).Data},
-		"inner":   {inner.Data, p.Inner.AerialFromFreq(mf).Data},
-		"outer":   {outer.Data, p.Outer.AerialFromFreq(mf).Data},
+	// Every corner AerialAll returns must be bit-identical to imaging that
+	// corner on its own. The zero-defocus spec makes the inner corner take
+	// the shared (scaled) path too; the non-unit nominal dose catches a
+	// corner derived from the already-dosed nominal image, since
+	// (Σ·1.1)·1.02 ≠ Σ·(1.1·1.02) in floating point.
+	for _, tc := range []struct {
+		name string
+		spec CornerSpec
+	}{
+		{"default", DefaultCorners()},
+		{"dose-only", CornerSpec{DoseDelta: 0.02}},
 	} {
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("%s corner differs at pixel %d: %v vs %v", name, i, pair[0][i], pair[1][i])
-			}
+		for _, dose := range []float64{1, 1.1} {
+			t.Run(fmt.Sprintf("%s/dose%v", tc.name, dose), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Dose = dose
+				p := NewProcess(cfg, tc.spec)
+				mask := maskWithRect(p.Nominal.Grid(), geom.Rect{Min: geom.P(874, 874), Max: geom.P(1174, 1174)})
+				nom, inner, outer := p.AerialAll(mask)
+				mf := MaskFreqInto(fft.NewGrid2(mask.Size, mask.Size), mask)
+				for _, c := range []struct {
+					name string
+					got  *raster.Field
+					sim  *Simulator
+				}{
+					{"nominal", nom, p.Nominal},
+					{"inner", inner, p.Inner},
+					{"outer", outer, p.Outer},
+				} {
+					want := c.sim.AerialFromFreqInto(raster.NewField(c.sim.Grid()), mf)
+					for i := range want.Data {
+						if c.got.Data[i] != want.Data[i] {
+							t.Fatalf("%s corner differs at pixel %d: %v vs %v", c.name, i, c.got.Data[i], want.Data[i])
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -73,8 +98,9 @@ func TestForwardCacheReuse(t *testing.T) {
 	}
 	grad := make([]float64, len(G))
 	s.GradientFromCacheInto(grad, cache, G)
-	_, freshCache := s.AerialWithCache(m2)
+	freshCache := s.NewForwardCache()
 	defer freshCache.Release()
+	s.AerialWithCacheInto(raster.NewField(s.Grid()), freshCache, m2)
 	wantGrad := s.GradientFromCache(freshCache, G)
 	for i := range grad {
 		if grad[i] != wantGrad[i] {

@@ -78,12 +78,12 @@ func Analyze(base litho.Config, mask *raster.Field, cut Cut, targetCD float64, c
 	mf := fft.GetGrid(mask.Size, mask.Size)
 	litho.MaskFreqInto(mf, mask)
 	defer fft.PutGrid(mf)
+	aerial := raster.NewField(raster.Grid{Size: base.GridSize, Pitch: base.PitchNM})
 	for _, z := range cfg.DefociNM {
 		zCfg := base
 		zCfg.DefocusNM = z
 		zCfg.Dose = 1
-		sim := litho.NewSimulator(zCfg)
-		aerial := sim.AerialFromFreq(mf)
+		litho.NewSimulator(zCfg).AerialFromFreqInto(aerial, mf)
 		for _, d := range cfg.Doses {
 			th := base.Threshold / d
 			cd := MeasureCD(aerial, cut, th, cfg.SearchNM)

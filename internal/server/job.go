@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cardopc/internal/cli"
+	"cardopc/internal/fft"
 	"cardopc/internal/geom"
 	"cardopc/internal/layout"
 	"cardopc/internal/obs"
@@ -43,6 +44,11 @@ type JobSpec struct {
 	ReturnMask bool `json:"return_mask,omitempty"`
 }
 
+// maxGrid caps a job's raster. Every SOCS kernel is a full grid² complex
+// spectrum (16 MiB each at 1024 px, ~23 per kernel set), so an unbounded
+// grid is an out-of-memory no panic isolation can catch.
+const maxGrid = 1024
+
 // validate rejects malformed specs at submit time, so clients get a 400
 // instead of a queued job that fails. It resolves the layout and preset
 // the same way the run path will.
@@ -73,6 +79,9 @@ func (s JobSpec) validate() error {
 	}
 	if s.Iters < 0 || s.Grid < 0 || s.PitchNM < 0 || s.TimeoutMS < 0 {
 		return fmt.Errorf("negative iters/grid/pitch/timeout")
+	}
+	if s.Grid != 0 && (!fft.IsPow2(s.Grid) || s.Grid > maxGrid) {
+		return fmt.Errorf("grid %d: want a power of two no larger than %d", s.Grid, maxGrid)
 	}
 	return nil
 }

@@ -152,7 +152,7 @@ func (s *Server) runClip(ctx context.Context, spec JobSpec) (*JobResult, error) 
 		Iterations:    res.Iterations,
 		Shapes:        len(polys),
 	}
-	measureClip(s.batch, proc, polys, clip.Targets, cfg.ProbeSpacing, out)
+	measureClip(proc, polys, clip.Targets, cfg.ProbeSpacing, out)
 	if spec.ReturnMask {
 		out.MaskPolys = encodePolys(polys)
 	}
@@ -160,13 +160,11 @@ func (s *Server) runClip(ctx context.Context, spec JobSpec) (*JobResult, error) 
 }
 
 // measureClip fills the EPE/PVB/L2 metric suite — the same measurements
-// the cardopc CLI prints. The three-corner imaging goes through the
-// batcher so concurrent same-config jobs share one kernel sweep; batch
-// may be nil (solo imaging).
-func measureClip(batch *aerialBatcher, proc *litho.Process, maskPolys, targets []geom.Polygon, spacing float64, out *JobResult) {
+// the cardopc CLI prints.
+func measureClip(proc *litho.Process, maskPolys, targets []geom.Polygon, spacing float64, out *JobResult) {
 	g := proc.Nominal.Grid()
 	mask := raster.Rasterize(g, maskPolys, 4)
-	nomA, innerA, outerA := batch.aerialAll(proc, mask)
+	nomA, innerA, outerA := proc.AerialAll(mask)
 	ith := proc.Nominal.Config().Threshold
 
 	probes := metrics.ProbesForLayout(targets, spacing)

@@ -8,7 +8,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs             submit a JobSpec; 202 + id, 429 when full
+//	POST   /v1/jobs             submit a JobSpec; 202 + id, 400 invalid, 413 oversized, 429 when full
 //	GET    /v1/jobs             list tracked jobs
 //	GET    /v1/jobs/{id}        poll status/result
 //	DELETE /v1/jobs/{id}        cancel
@@ -51,9 +51,6 @@ type Config struct {
 	// MaxJobs caps the tracked-job table; the oldest finished jobs are
 	// evicted beyond it (default 1024).
 	MaxJobs int
-	// MaxAerialBatch bounds how many concurrent same-config clip
-	// measurements coalesce into one batched kernel sweep (default 4).
-	MaxAerialBatch int
 }
 
 // withDefaults fills the zero fields.
@@ -73,9 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
 	}
-	if c.MaxAerialBatch <= 0 {
-		c.MaxAerialBatch = 4
-	}
 	return c
 }
 
@@ -86,7 +80,6 @@ type Server struct {
 	mux   *http.ServeMux
 	queue *jobQueue
 	procs *litho.ProcessCache
-	batch *aerialBatcher
 	hub   *eventHub
 	state *obs.State
 
@@ -109,7 +102,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		queue:   newJobQueue(cfg.QueueDepth),
 		procs:   litho.NewProcessCache(),
-		batch:   newAerialBatcher(cfg.MaxAerialBatch),
 		hub:     newEventHub(),
 		jobs:    map[string]*Job{},
 		started: time.Now(),
@@ -250,9 +242,18 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// maxSubmitBytes caps a submitted JobSpec body. Inline targets are the
+// only large field; 4 MiB holds a few hundred thousand vertices.
+const maxSubmitBytes = 4 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Error: err.Error()})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad JSON: " + err.Error()})
 		return
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -225,25 +226,51 @@ func TestSubmitValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 
 	for name, spec := range map[string]JobSpec{
-		"no layout":    {Kind: "clip"},
-		"bad kind":     {Kind: "nope", Case: "V1"},
-		"bad case":     {Case: "V99"},
-		"bad layer":    {Case: "V1", Layer: "poly"},
-		"thin target":  {Targets: [][][2]float64{{{0, 0}, {1, 1}}}},
-		"both layouts": {Case: "V1", Targets: tinySpec().Targets},
+		"no layout":     {Kind: "clip"},
+		"bad kind":      {Kind: "nope", Case: "V1"},
+		"bad case":      {Case: "V99"},
+		"bad layer":     {Case: "V1", Layer: "poly"},
+		"thin target":   {Targets: [][][2]float64{{{0, 0}, {1, 1}}}},
+		"both layouts":  {Case: "V1", Targets: tinySpec().Targets},
+		"non-pow2 grid": {Case: "V1", Grid: 300},
+		"oversize grid": {Case: "V1", Grid: 2 * maxGrid},
 	} {
 		if _, resp := postJob(t, ts, spec); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: got %d, want 400", name, resp.StatusCode)
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"bad JSON", "{not json", http.StatusBadRequest},
+		// A valid spec padded past the cap: the decoder must stop at the
+		// limit instead of buffering whatever the client sends.
+		{"oversize body", fmt.Sprintf(`{"case":"V1","layer":"%s"}`, strings.Repeat(" ", maxSubmitBytes)), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: got %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: got %d, want 400", resp.StatusCode)
+}
+
+func TestLithoConfigNormalisedAndValid(t *testing.T) {
+	// The server's spec decoder applies the zero-means-default dose
+	// contract explicitly: the resolved config carries Dose 1 and passes
+	// the strict Validate (which rejects a literal zero dose).
+	lcfg := lithoConfig(JobSpec{Kind: "clip", Grid: 256, PitchNM: 8}, 4)
+	if lcfg.Dose != 1 {
+		t.Errorf("resolved dose = %v, want 1", lcfg.Dose)
+	}
+	if err := lcfg.Validate(); err != nil {
+		t.Errorf("resolved config invalid: %v", err)
 	}
 }
 
